@@ -14,16 +14,17 @@ vet:
 	$(GO) vet ./...
 
 # The runtime's lock-free fast paths (pool handoff, spin-then-park join,
-# atomic chunk dispensers), the communication stack's atomic traffic
-# counters, and the telemetry spine's concurrent counter/event plumbing
-# make the race detector part of the default test gate, not an optional
-# extra.
+# atomic chunk dispensers, reused rank goroutines), the communication
+# stack's atomic traffic counters, and the telemetry spine's concurrent
+# counter/event plumbing make the race detector part of the default test
+# gate, not an optional extra. It covers the whole tree, so no package
+# can drop out of it by being left off a list.
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/omp/... ./internal/mpi/... ./internal/cluster/... ./internal/psort/... ./internal/telemetry/... ./internal/trace/... ./internal/serve/... ./internal/ring/... ./internal/store/...
+	$(GO) test -race ./...
 
 race:
-	$(GO) test -race ./internal/... ./patternlets
+	$(GO) test -race ./...
 
 # Run the patternlet HTTP service with classroom defaults.
 serve:

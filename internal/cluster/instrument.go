@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"strconv"
-	"strings"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -11,20 +10,23 @@ import (
 
 // Instrumented counts the traffic flowing through a transport: sends and
 // receives, payload bytes in each direction, and per-peer message counts
-// — totalled and broken down per communicator id, so the MPI layer can
-// report what a pattern actually moves (Comm.Stats). The counters are a
-// telemetry.CounterSet per accounting bucket — the same named-atomic
-// spine every other runtime stat in this repository reads from — and
-// TrafficStats is a snapshot view decoded from it. Counters are
-// lock-free atomics on the hot path; the only synchronization is the
-// first-touch insertion of a new communicator or peer slot.
+// — broken down per communicator id and summed on demand, so the MPI
+// layer can report what a pattern actually moves (Comm.Stats). Each
+// communicator's bucket is a block of plain atomic fields plus two
+// rank-indexed peer tables, so recording a message is a handful of
+// atomic adds on one bucket: no name is formatted, no lock is taken and
+// nothing is allocated once a peer has been seen. Totals sums the
+// buckets when read instead of paying a second set of adds per message.
 type Instrumented struct {
 	Middleware
-	total trafficCounters
-	comms sync.Map // communicator id -> *trafficCounters
+	// world is communicator 0's bucket, kept inline: in an MPI world it
+	// carries all traffic that is not on a split or duplicated
+	// communicator, and reaching it costs no map lookup.
+	world trafficCounters
+	comms sync.Map // other communicator ids -> *trafficCounters
 	// commCache short-circuits the comms lookup for the most recently used
-	// communicator: traffic is bursty per communicator (usually the world
-	// comm), and the sync.Map path hashes a boxed int key per message.
+	// other communicator: traffic is bursty per communicator, and the
+	// sync.Map path boxes an int key per message.
 	commCache atomic.Pointer[commSlot]
 }
 
@@ -50,96 +52,106 @@ type TrafficStats struct {
 	Wire map[string]int64
 }
 
-// Counter names within a bucket's CounterSet. Per-peer counters append
-// "/<world rank>" to the peer prefixes.
-const (
-	ctrSends      = "sends"
-	ctrRecvs      = "recvs"
-	ctrBytesSent  = "bytes_sent"
-	ctrBytesRecvd = "bytes_recvd"
-	ctrPeerSend   = "peer_sends/"
-	ctrPeerRecv   = "peer_recvs/"
-)
-
-// trafficCounters is one accounting bucket (the totals, or one
-// communicator's slice of them): a telemetry counter set plus resolved
-// pointers for the four fixed counters and a rank-keyed cache for the
-// per-peer ones, so the per-message path never formats a name or takes
-// the set's lock.
+// trafficCounters is one communicator's accounting bucket.
 type trafficCounters struct {
-	set       telemetry.CounterSet
-	initOnce  sync.Once
-	sends     *telemetry.Counter
-	recvs     *telemetry.Counter
-	bytesSent *telemetry.Counter
-	bytesRecv *telemetry.Counter
-	peerSends peerCounters // indexed by destination rank
-	peerRecvs peerCounters // indexed by source rank
-}
-
-// peerCounters is a rank-indexed counter table with lock-free reads: the
-// hot path is one atomic pointer load and a slice index — world ranks are
-// small dense ints, so a slice beats the interface-keyed sync.Map it
-// replaced (which hashed a boxed int per message). Growth copies under
-// the mutex; readers keep using the old table until the swap.
-type peerCounters struct {
-	tbl atomic.Pointer[[]*telemetry.Counter]
-	mu  sync.Mutex
-}
-
-func (pc *peerCounters) get(set *telemetry.CounterSet, prefix string, rank int) *telemetry.Counter {
-	if t := pc.tbl.Load(); t != nil && rank < len(*t) {
-		if c := (*t)[rank]; c != nil {
-			return c
-		}
-	}
-	if rank < 0 {
-		// Defensive: a negative rank cannot index the table; count it under
-		// its formatted name only.
-		return set.Counter(prefix + strconv.Itoa(rank))
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	var cur []*telemetry.Counter
-	if t := pc.tbl.Load(); t != nil {
-		cur = *t
-	}
-	if rank < len(cur) && cur[rank] != nil {
-		return cur[rank]
-	}
-	n := len(cur)
-	if n <= rank {
-		n = rank + 1
-	}
-	next := make([]*telemetry.Counter, n)
-	copy(next, cur)
-	c := set.Counter(prefix + strconv.Itoa(rank))
-	next[rank] = c
-	pc.tbl.Store(&next)
-	return c
-}
-
-func (tc *trafficCounters) init() {
-	tc.initOnce.Do(func() {
-		tc.sends = tc.set.Counter(ctrSends)
-		tc.recvs = tc.set.Counter(ctrRecvs)
-		tc.bytesSent = tc.set.Counter(ctrBytesSent)
-		tc.bytesRecv = tc.set.Counter(ctrBytesRecvd)
-	})
+	sends, recvs, bytesSent, bytesRecvd atomic.Uint64
+	peerSends                           peerTable // indexed by destination world rank
+	peerRecvs                           peerTable // indexed by source world rank
 }
 
 func (tc *trafficCounters) recordSend(to int, bytes uint64) {
-	tc.init()
-	tc.sends.Inc()
-	tc.bytesSent.Add(int64(bytes))
-	tc.peerSends.get(&tc.set, ctrPeerSend, to).Inc()
+	tc.sends.Add(1)
+	tc.bytesSent.Add(bytes)
+	tc.peerSends.inc(to)
 }
 
 func (tc *trafficCounters) recordRecv(from int, bytes uint64) {
-	tc.init()
-	tc.recvs.Inc()
-	tc.bytesRecv.Add(int64(bytes))
-	tc.peerRecvs.get(&tc.set, ctrPeerRecv, from).Inc()
+	tc.recvs.Add(1)
+	tc.bytesRecvd.Add(bytes)
+	tc.peerRecvs.inc(from)
+}
+
+// addTo adds the bucket's counts into st, so Totals can sum every bucket
+// into one snapshot.
+func (tc *trafficCounters) addTo(st *TrafficStats) {
+	st.Sends += tc.sends.Load()
+	st.Recvs += tc.recvs.Load()
+	st.BytesSent += tc.bytesSent.Load()
+	st.BytesRecvd += tc.bytesRecvd.Load()
+	tc.peerSends.addTo(st.PeerSends)
+	tc.peerRecvs.addTo(st.PeerRecvs)
+}
+
+// Peer table geometry: segment k holds peerSegBase<<k consecutive ranks,
+// starting at rank peerSegBase*(2^k - 1). A 32-rank world touches one
+// 256-byte segment; the peerSegs segments together cover ranks below
+// peerSegBase*(2^peerSegs - 1) = 8160, and the largest is 32 KiB.
+const (
+	peerSegShift = 5
+	peerSegBase  = 1 << peerSegShift
+	peerSegs     = 8
+	peerTableCap = peerSegBase<<peerSegs - peerSegBase
+)
+
+// peerTable is a rank-indexed table of message counts that never copies:
+// segments are allocated on first touch and installed once, so a reader
+// or writer indexes a segment that stays put for the table's lifetime.
+// Ranks outside [0, peerTableCap) — a stray frame's source, never a rank
+// of a real world — are counted in a locked map so one cannot make the
+// table allocate in proportion to its value.
+type peerTable struct {
+	segs [peerSegs]atomic.Pointer[[]atomic.Uint64]
+	mu   sync.Mutex
+	odd  map[int]uint64 // ranks outside the segments
+}
+
+// peerSeg locates rank in the segment geometry: segment index and offset.
+func peerSeg(rank int) (k, off int) {
+	k = bits.Len(uint(rank>>peerSegShift+1)) - 1
+	return k, rank - (peerSegBase<<k - peerSegBase)
+}
+
+func (pt *peerTable) inc(rank int) {
+	if rank < 0 || rank >= peerTableCap {
+		pt.mu.Lock()
+		if pt.odd == nil {
+			pt.odd = map[int]uint64{}
+		}
+		pt.odd[rank]++
+		pt.mu.Unlock()
+		return
+	}
+	k, off := peerSeg(rank)
+	seg := pt.segs[k].Load()
+	if seg == nil {
+		// First touch: whichever racing writer installs its segment
+		// first wins, and every writer counts into the installed one.
+		s := make([]atomic.Uint64, peerSegBase<<k)
+		pt.segs[k].CompareAndSwap(nil, &s)
+		seg = pt.segs[k].Load()
+	}
+	(*seg)[off].Add(1)
+}
+
+// addTo adds every nonzero count into m, keyed by rank.
+func (pt *peerTable) addTo(m map[int]uint64) {
+	for k := range pt.segs {
+		seg := pt.segs[k].Load()
+		if seg == nil {
+			continue
+		}
+		base := peerSegBase<<k - peerSegBase
+		for i := range *seg {
+			if v := (*seg)[i].Load(); v != 0 {
+				m[base+i] += v
+			}
+		}
+	}
+	pt.mu.Lock()
+	for r, v := range pt.odd {
+		m[r] += v
+	}
+	pt.mu.Unlock()
 }
 
 // emptyTrafficStats is the shared zero-value constructor: every map
@@ -153,40 +165,15 @@ func emptyTrafficStats() TrafficStats {
 	}
 }
 
-// snapshot decodes the bucket's counter set into a TrafficStats — the
-// one place the telemetry names map onto the stats view, shared by
-// Totals and CommStats.
-func (tc *trafficCounters) snapshot() TrafficStats {
-	st := emptyTrafficStats()
-	for name, v := range tc.set.Snapshot() {
-		switch {
-		case name == ctrSends:
-			st.Sends = uint64(v)
-		case name == ctrRecvs:
-			st.Recvs = uint64(v)
-		case name == ctrBytesSent:
-			st.BytesSent = uint64(v)
-		case name == ctrBytesRecvd:
-			st.BytesRecvd = uint64(v)
-		case strings.HasPrefix(name, ctrPeerSend):
-			if rank, err := strconv.Atoi(name[len(ctrPeerSend):]); err == nil {
-				st.PeerSends[rank] = uint64(v)
-			}
-		case strings.HasPrefix(name, ctrPeerRecv):
-			if rank, err := strconv.Atoi(name[len(ctrPeerRecv):]); err == nil {
-				st.PeerRecvs[rank] = uint64(v)
-			}
-		}
-	}
-	return st
-}
-
 // NewInstrumented wraps inner with traffic accounting.
 func NewInstrumented(inner Transport) *Instrumented {
 	return &Instrumented{Middleware: Middleware{Inner: inner}}
 }
 
 func (t *Instrumented) commCounters(comm int) *trafficCounters {
+	if comm == 0 {
+		return &t.world
+	}
 	if s := t.commCache.Load(); s != nil && s.id == comm {
 		return s.tc
 	}
@@ -204,9 +191,7 @@ func (t *Instrumented) Send(to int, m Message) error {
 	if err := t.Inner.Send(to, m); err != nil {
 		return err
 	}
-	n := uint64(len(m.Payload))
-	t.total.recordSend(to, n)
-	t.commCounters(m.Comm).recordSend(to, n)
+	t.commCounters(m.Comm).recordSend(to, uint64(len(m.Payload)))
 	return nil
 }
 
@@ -214,7 +199,6 @@ func (t *Instrumented) Send(to int, m Message) error {
 func (t *Instrumented) Recv(rank int, mt Match) (Message, error) {
 	m, err := t.Inner.Recv(rank, mt)
 	if err == nil {
-		t.total.recordRecv(m.Src, uint64(len(m.Payload)))
 		t.commCounters(m.Comm).recordRecv(m.Src, uint64(len(m.Payload)))
 	}
 	return m, err
@@ -224,7 +208,6 @@ func (t *Instrumented) Recv(rank int, mt Match) (Message, error) {
 func (t *Instrumented) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Message, error) {
 	m, err := t.Inner.RecvTimeout(rank, mt, timeoutNanos)
 	if err == nil {
-		t.total.recordRecv(m.Src, uint64(len(m.Payload)))
 		t.commCounters(m.Comm).recordRecv(m.Src, uint64(len(m.Payload)))
 	}
 	return m, err
@@ -235,7 +218,12 @@ func (t *Instrumented) RecvTimeout(rank int, mt Match, timeoutNanos int64) (Mess
 // into the Wire map — this is where misrouted frames become visible
 // instead of being dropped silently inside a read loop.
 func (t *Instrumented) Totals() TrafficStats {
-	st := t.total.snapshot()
+	st := emptyTrafficStats()
+	t.world.addTo(&st)
+	t.comms.Range(func(_, v any) bool {
+		v.(*trafficCounters).addTo(&st)
+		return true
+	})
 	for name, v := range WireStats(t.Inner) {
 		st.Wire[name] = v
 	}
@@ -245,10 +233,13 @@ func (t *Instrumented) Totals() TrafficStats {
 // CommStats returns the counters for one communicator id. An id that has
 // carried no traffic reports zeroes with every map initialized.
 func (t *Instrumented) CommStats(comm int) TrafficStats {
-	if v, ok := t.comms.Load(comm); ok {
-		return v.(*trafficCounters).snapshot()
+	st := emptyTrafficStats()
+	if comm == 0 {
+		t.world.addTo(&st)
+	} else if v, ok := t.comms.Load(comm); ok {
+		v.(*trafficCounters).addTo(&st)
 	}
-	return emptyTrafficStats()
+	return st
 }
 
 // FoldInto adds this transport's traffic totals to the collector's

@@ -164,28 +164,28 @@ func (w *wireConn) send(dst int, m Message) error {
 		// Immediate mode: one frame, one write. The frame is staged in a
 		// pooled buffer (header + payload copy) so small messages cost a
 		// single syscall and no retained allocation; payloads too large to
-		// pool ride out as a vectored write instead of being copied.
+		// pool ride out as a vectored write instead of being copied. Both
+		// paths count the flush before the write, as flushLocked does.
 		if len(m.Payload) > maxInlineCopy {
 			var hdr [64]byte
 			h := appendFrameHeader(hdr[:0], dst, m)
 			bufs := net.Buffers{h, m.Payload}
-			_, err := bufs.WriteTo(w.c)
-			if err != nil {
+			w.wc.flushImmediate.Inc()
+			if _, err := bufs.WriteTo(w.c); err != nil {
 				w.err = err
 				return err
 			}
-			w.wc.flushImmediate.Inc()
 			return nil
 		}
 		buf := wirecodec.Get(4 + 1 + 42 + len(m.Payload))
 		buf = appendFrame(buf, dst, m)
+		w.wc.flushImmediate.Inc()
 		_, err := w.c.Write(buf)
 		wirecodec.Put(buf)
 		if err != nil {
 			w.err = err
 			return err
 		}
-		w.wc.flushImmediate.Inc()
 		return nil
 	}
 
@@ -237,11 +237,13 @@ func (w *wireConn) flushLocked() error {
 	if w.err != nil || len(w.staged) == 0 {
 		return w.err
 	}
-	_, err := w.c.Write(w.staged)
+	// Count the flush before writing it: once the bytes are on the wire a
+	// receiver may already hold the frames and read WireStats.
 	w.wc.flushBatched.Inc()
 	if w.stagedFrames > 1 {
 		w.wc.coalesced.Add(int64(w.stagedFrames - 1))
 	}
+	_, err := w.c.Write(w.staged)
 	wirecodec.Put(w.staged)
 	w.staged = nil
 	w.stagedFrames = 0

@@ -614,7 +614,7 @@ func allgatherMPI() *core.Patternlet {
 		Name:     "allgather",
 		Model:    core.MPI,
 		Patterns: []core.Pattern{core.Gather, core.Broadcast},
-		Synopsis: "gather whose result every process receives (a ring pass under the hood)",
+		Synopsis: "gather whose result every process receives (two simpler collectives under the hood)",
 		Exercise: "Compare with gather.mpi: who holds the complete array afterwards? Express\n" +
 			"Allgather in terms of two collectives you already know.",
 		DefaultTasks: 4,

@@ -290,15 +290,31 @@ func runPatternlet(ctx context.Context, p *Patternlet, opts RunOptions) (Result,
 		res.Events = stream.Events()
 		res.Counters = col.Counters().Snapshot()
 	}
-	if err != nil {
-		return res, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		// The body unwound because the context fired (a cancelled omp
-		// region returns no error of its own); surface the cause.
+	if cerr := firedErr(ctx); cerr != nil {
+		// The context fired during the run, and that is why the run ended:
+		// a cancelled omp region unwinds with no error of its own, and an
+		// MPI receive bounded by the derived RecvTimeout fails with a
+		// deadlock error. Either way the cause comes first, so callers
+		// see a deadline as a deadline; a body error rides along.
+		if err != nil {
+			return res, fmt.Errorf("core: run %q: %w: %w", p.Key(), cerr, err)
+		}
 		return res, fmt.Errorf("core: run %q: %w", p.Key(), cerr)
 	}
-	return res, nil
+	return res, err
+}
+
+// firedErr reports why ctx ended, or nil while it is live. A deadline
+// already passed counts as fired even if the context's own timer has not
+// run yet: an MPI receive bounded by the same deadline can return first.
+func firedErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // Lines splits captured output into non-empty trimmed lines, a convenience

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
 )
 
 // The single Run entry point: ctx handling, the captured Result, and the
@@ -75,6 +77,35 @@ func TestRunDeadlineBecomesRecvTimeout(t *testing.T) {
 	}
 	if got != time.Second {
 		t.Fatalf("explicit RecvTimeout = %v, want 1s", got)
+	}
+}
+
+// An MPI world whose receives are bounded by the derived RecvTimeout
+// fails with mpi.ErrDeadlock when the deadline passes; the run must still
+// report the deadline as its cause, as an omp run under the same deadline
+// does, so callers answer it as a timeout rather than a failure.
+func TestRunMPIDeadlineSurfacesAsDeadline(t *testing.T) {
+	r := NewRegistry()
+	p := testPatternlet("deadline", MPI)
+	p.Run = func(rc *RunContext) error {
+		return mpi.Run(2, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				// Rank 1 never sends: the receive waits out the deadline.
+				_, _, err := mpi.Recv[int](c, 1, 0)
+				return err
+			}
+			return nil
+		}, mpi.WithRecvTimeout(rc.RecvTimeout))
+	}
+	r.MustRegister(p)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := r.Run(ctx, "deadline.mpi", RunOptions{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if !errors.Is(err, mpi.ErrDeadlock) {
+		t.Fatalf("err = %v, want the body's ErrDeadlock kept alongside", err)
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// The fast Allreduce (recursive doubling) and Allgather (ring) must be
-// indistinguishable from the compositions they replaced, which are kept as
-// AllreduceComposed / AllgatherComposed precisely to serve as oracles here.
+// The fast Allreduce (recursive doubling) must be indistinguishable from
+// the composition it replaced, which is kept as AllreduceComposed
+// precisely to serve as an oracle here. Allgather is the composition
+// itself; AllgatherComposed pins that it stays so.
 
 func TestAllreduceMatchesComposedAllWorldSizes(t *testing.T) {
 	for np := 1; np <= 8; np++ {

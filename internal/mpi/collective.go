@@ -627,18 +627,18 @@ func gatherBinomial[T any](c *Comm, send []T, root, tag int) ([]T, error) {
 }
 
 // Allgather concatenates every rank's slice and returns it to all ranks
-// (MPI_Allgather, MPI_Allgatherv for unequal contributions). Large worlds
-// use the ring — each block travels once around, no rank handling more
-// than one block per round — and small worlds the gather-then-broadcast
-// composition, which moves fewer messages overall.
+// (MPI_Allgather, MPI_Allgatherv for unequal contributions) as a Gather
+// to rank 0 followed by a Bcast. That composition is the only registered
+// algorithm: a ring allgather (p-1 rounds, every rank forwarding one
+// block per round) moves p(p-1) messages and lost to it in every measured
+// regime — channel, injected latency and loopback TCP, small and large
+// blocks (see EXPERIMENTS.md).
 func Allgather[T any](c *Comm, send []T) ([]T, error) {
 	algo := c.algoFor(CollAllgather, 0)
 	sp := c.collBegin(CollAllgather)
 	sp.SetArg("algo", algo)
 	defer sp.End()
 	switch algo {
-	case AlgoRing:
-		return allgatherRing(c, send, c.nextCollTag())
 	case AlgoComposed:
 		return allgatherComposed(c, send)
 	default:
@@ -647,52 +647,15 @@ func Allgather[T any](c *Comm, send []T) ([]T, error) {
 }
 
 // allgatherComposed always runs the composition — a Gather to rank 0
-// followed by a Bcast. It is both a registered algorithm and the test
-// oracle for the ring: the two must return identical results on every
-// rank. Unexported: it is an algorithm and an oracle, not public API —
-// tests reach it through export_test.go.
+// followed by a Bcast — whatever the registry would pick. It is the
+// equivalence oracle for Allgather. Unexported: it is an algorithm and an
+// oracle, not public API — tests reach it through export_test.go.
 func allgatherComposed[T any](c *Comm, send []T) ([]T, error) {
 	g, err := Gather(c, send, 0)
 	if err != nil {
 		return nil, err
 	}
 	return Bcast(c, g, 0)
-}
-
-// allgatherRing: in each of p-1 rounds every rank forwards the block it
-// received in the previous round to rank+1 and receives a block from
-// rank-1, so each block travels once around the ring and bandwidth is
-// balanced across links instead of concentrating at a root.
-func allgatherRing[T any](c *Comm, send []T, tag int) ([]T, error) {
-	p := len(c.ranks)
-
-	parts := make([][]T, p)
-	own, err := DeepCopy(send)
-	if err != nil {
-		return nil, err
-	}
-	parts[c.rank] = own
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	for k := 0; k < p-1; k++ {
-		// Forward the block that is k hops behind us on the ring; receive
-		// the one k+1 hops behind. Per-pair FIFO delivery keeps successive
-		// rounds on the shared tag in order.
-		if err := sendRaw(c, parts[(c.rank-k+p)%p], next, tag); err != nil {
-			return nil, err
-		}
-		got, _, err := recvRaw[[]T](c, prev, tag)
-		if err != nil {
-			return nil, err
-		}
-		parts[(c.rank-k-1+p)%p] = got
-	}
-
-	var out []T
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out, nil
 }
 
 // Scatter splits root's slice into Size() equal chunks and delivers the

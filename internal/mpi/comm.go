@@ -95,14 +95,13 @@ func (c *Comm) Dup() (*Comm, error) {
 	if err := Barrier(c); err != nil {
 		return nil, err
 	}
-	seq := c.collSeq
-	ranks := make([]int, len(c.ranks))
-	copy(ranks, c.ranks)
+	// Rank tables are never written after construction, so the
+	// duplicate shares its parent's.
 	return &Comm{
 		w:         c.w,
-		id:        deriveCommID(c.id, seq, dupColor),
+		id:        deriveCommID(c.id, c.collSeq, dupColor),
 		rank:      c.rank,
-		ranks:     ranks,
-		fromWorld: buildFromWorld(c.w.np, ranks),
+		ranks:     c.ranks,
+		fromWorld: c.fromWorld,
 	}, nil
 }

@@ -86,6 +86,11 @@ type world struct {
 	// so a disabled run pays no atomic load per operation. A collector
 	// enabled mid-run attaches at the next Run.
 	tele *telemetry.Collector
+
+	// ranks and fromWorld are the world communicator's identity tables
+	// (communicator rank == world rank), built once per world and shared
+	// read-only by every rank's Comm.
+	ranks, fromWorld []int
 }
 
 // Comm is one rank's handle on a communicator, like MPI_Comm plus the
@@ -95,7 +100,7 @@ type Comm struct {
 	w     *world
 	id    int
 	rank  int   // this process's rank within the communicator
-	ranks []int // communicator rank -> world rank
+	ranks []int // communicator rank -> world rank; read-only, may be shared
 	// fromWorld maps world rank -> communicator rank (-1 for non-members).
 	// World ranks are small dense ints, so a slice keeps the per-receive
 	// status lookup to an index instead of a map probe.
@@ -219,7 +224,8 @@ func WithTransport(tr cluster.Transport) Option {
 // Run launches np ranked processes, each executing body with its own world
 // communicator, and blocks until all finish (MPI_Init through
 // MPI_Finalize). The returned error joins every rank's error; a panicking
-// rank is reported as an error rather than crashing the caller.
+// rank is reported as an error rather than crashing the caller. Ranks run
+// on goroutines reused across worlds (see goRank), all np at once.
 func Run(np int, body func(c *Comm) error, opts ...Option) error {
 	if np < 1 {
 		return fmt.Errorf("mpi: np must be >= 1, got %d", np)
@@ -255,17 +261,7 @@ func Run(np int, body func(c *Comm) error, opts ...Option) error {
 	inst := cluster.NewInstrumented(tr)
 	defer inst.Close()
 
-	w := &world{
-		np:          np,
-		tr:          inst,
-		cl:          cluster.New(cfg.nodes),
-		recvTimeout: cfg.recvTimeout,
-		collAlgo:    cfg.collAlgo,
-		stats:       inst,
-		copies:      cluster.SendCopiesPayload(inst),
-		gobOnly:     cfg.gobOnly,
-		tele:        telemetry.Active(),
-	}
+	w := newWorld(np, inst, &cfg)
 	var codecBase map[string]int64
 	if w.tele != nil {
 		codecBase = codecSnapshot()
@@ -275,18 +271,17 @@ func Run(np int, body func(c *Comm) error, opts ...Option) error {
 	var wg sync.WaitGroup
 	wg.Add(np)
 	for rank := 0; rank < np; rank++ {
-		go func(rank int) {
+		goRank(func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, r)
 				}
 			}()
-			c := newWorldComm(w, rank)
-			if err := body(c); err != nil {
+			if err := body(newWorldComm(w, rank)); err != nil {
 				errs[rank] = fmt.Errorf("mpi: rank %d: %w", rank, err)
 			}
-		}(rank)
+		})
 	}
 	wg.Wait()
 	if w.tele != nil {
@@ -299,10 +294,32 @@ func Run(np int, body func(c *Comm) error, opts ...Option) error {
 	return errors.Join(errs...)
 }
 
-func newWorldComm(w *world, rank int) *Comm {
-	ranks := make([]int, w.np)
-	for i := range ranks {
-		ranks[i] = i
+// newWorld builds the shared runtime of a world of np ranks over the
+// instrumented transport inst — the one constructor behind Run and
+// RunWorker.
+func newWorld(np int, inst *cluster.Instrumented, cfg *runConfig) *world {
+	// The world communicator's rank tables are both the identity over np
+	// ranks, so one slice serves as both, shared by every rank.
+	identity := make([]int, np)
+	for i := range identity {
+		identity[i] = i
 	}
-	return &Comm{w: w, id: 0, rank: rank, ranks: ranks, fromWorld: buildFromWorld(w.np, ranks)}
+	return &world{
+		np:          np,
+		ranks:       identity,
+		fromWorld:   identity,
+		tr:          inst,
+		cl:          cluster.New(cfg.nodes),
+		recvTimeout: cfg.recvTimeout,
+		collAlgo:    cfg.collAlgo,
+		stats:       inst,
+		copies:      cluster.SendCopiesPayload(inst),
+		gobOnly:     cfg.gobOnly,
+		tele:        telemetry.Active(),
+	}
+}
+
+// newWorldComm returns one rank's handle on the world communicator.
+func newWorldComm(w *world, rank int) *Comm {
+	return &Comm{w: w, id: 0, rank: rank, ranks: w.ranks, fromWorld: w.fromWorld}
 }

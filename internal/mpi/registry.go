@@ -55,9 +55,6 @@ const (
 	// AlgoCentral is the fan-in/fan-out barrier through rank 0: 2(p-1)
 	// messages, O(p) serial latency at the root.
 	AlgoCentral = "central"
-	// AlgoRing forwards blocks around a ring in p-1 rounds, balancing
-	// bandwidth across all links.
-	AlgoRing = "ring"
 	// AlgoComposed is the textbook composition (reduce+bcast for
 	// allreduce, gather+bcast for allgather), kept as the equivalence
 	// oracle.
@@ -161,15 +158,12 @@ var collectiveRegistry = map[string]collectiveSpec{
 	},
 	CollAllgather: {
 		algorithms: map[string]string{
-			AlgoRing:     "blocks travel once around the ring, p-1 rounds",
 			AlgoComposed: "gather to rank 0, then broadcast",
 		},
-		pick: func(p, _ int) string {
-			if p < treeWorldSize {
-				return AlgoComposed // ~2p messages beat the ring's p(p-1)
-			}
-			return AlgoRing
-		},
+		// ~2(p-1) messages through the gather and bcast policies; a ring's
+		// p(p-1) lost at every measured world size, block size and
+		// transport, so it is not registered.
+		pick: func(int, int) string { return AlgoComposed },
 	},
 	CollAllreduce: {
 		algorithms: map[string]string{

@@ -52,7 +52,7 @@ func TestRegistryContents(t *testing.T) {
 		CollReduce:    {AlgoBinomial, AlgoLinear},
 		CollGather:    {AlgoBinomial, AlgoLinear},
 		CollScatter:   {AlgoBinomial, AlgoLinear},
-		CollAllgather: {AlgoComposed, AlgoRing},
+		CollAllgather: {AlgoComposed},
 		CollAllreduce: {AlgoComposed, AlgoRecursiveDoubling},
 		CollAlltoall:  {AlgoLinear, AlgoPairwise},
 		CollScan:      {AlgoDoubling, AlgoLinear},
@@ -83,7 +83,7 @@ func TestWithCollectiveAlgorithmValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown collective") {
 		t.Fatalf("unknown collective: %v", err)
 	}
-	err = Run(2, body, WithCollectiveAlgorithm(CollBcast, AlgoRing))
+	err = Run(2, body, WithCollectiveAlgorithm(CollBcast, AlgoPairwise))
 	if err == nil || !strings.Contains(err.Error(), "no algorithm") {
 		t.Fatalf("unknown algorithm: %v", err)
 	}
@@ -105,7 +105,8 @@ func TestDefaultPolicyThresholds(t *testing.T) {
 		{CollAllreduce, 4, 0, AlgoComposed},
 		{CollAllreduce, treeWorldSize, 0, AlgoRecursiveDoubling},
 		{CollAllgather, 4, 0, AlgoComposed},
-		{CollAllgather, treeWorldSize, 0, AlgoRing},
+		{CollAllgather, treeWorldSize, 0, AlgoComposed},
+		{CollAllgather, 4 * treeWorldSize, 0, AlgoComposed},
 		{CollGather, 15, 0, AlgoLinear},
 		{CollGather, 2 * treeWorldSize, 0, AlgoBinomial},
 		{CollScatter, 15, 0, AlgoLinear},

@@ -234,14 +234,7 @@ func TestSmallSendZeroAllocs(t *testing.T) {
 	tr := cluster.NewChanTransport(1)
 	defer tr.Close()
 	inst := cluster.NewInstrumented(tr)
-	w := &world{
-		np:     1,
-		tr:     inst,
-		cl:     cluster.New(1),
-		stats:  inst,
-		copies: cluster.SendCopiesPayload(inst),
-	}
-	c := newWorldComm(w, 0)
+	c := newWorldComm(newWorld(1, inst, &runConfig{nodes: 1}), 0)
 	round := func() {
 		if err := sendRaw(c, 42, 0, 5); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/telemetry"
 )
 
 // RunWorker executes body as one rank of a multi-process world: this
@@ -38,17 +37,7 @@ func RunWorker(rank, np int, tr cluster.Transport, body func(c *Comm) error, opt
 	// Same layering as Run, so Comm.Stats works per-process; the worker's
 	// counters cover only this rank's traffic. Close stays with the caller.
 	inst := cluster.NewInstrumented(tr)
-	w := &world{
-		np:          np,
-		tr:          inst,
-		cl:          cluster.New(cfg.nodes),
-		recvTimeout: cfg.recvTimeout,
-		collAlgo:    cfg.collAlgo,
-		stats:       inst,
-		copies:      cluster.SendCopiesPayload(inst),
-		gobOnly:     cfg.gobOnly,
-		tele:        telemetry.Active(),
-	}
+	w := newWorld(np, inst, &cfg)
 	var codecBase map[string]int64
 	if w.tele != nil {
 		codecBase = codecSnapshot()

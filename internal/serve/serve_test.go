@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/omp"
 )
@@ -243,6 +244,34 @@ func TestRequestTimeoutCancelsRunningTaskloop(t *testing.T) {
 	}
 	if s.Stats().Counters[ctrTimedOut] != 1 {
 		t.Fatalf("timedout counter = %v", s.Stats().Counters)
+	}
+}
+
+// An MPI run stopped by its deadline is a timeout, not a failure: its
+// receives are bounded by the derived RecvTimeout and report a deadlock
+// when the deadline passes, but the answer must be the 504 an omp run
+// under the same deadline gets, counted as timed out.
+func TestRequestTimeoutMPIAnswers504(t *testing.T) {
+	s := New(collection.Default, WithWorkers(1), WithQueueDepth(1))
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := post(t, ts, `{"key":"align.mpi","params":{"n":2048},"timeout_ms":2}`)
+	var rr RunResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (error %q), want 504", resp.StatusCode, rr.Error)
+	}
+	if !strings.Contains(rr.Error, "deadline") {
+		t.Fatalf("Error = %q, want a deadline error", rr.Error)
+	}
+	c := s.Stats().Counters
+	if c[ctrTimedOut] != 1 || c[ctrFailed] != 0 {
+		t.Fatalf("timedout/failed = %d/%d, want 1/0", c[ctrTimedOut], c[ctrFailed])
 	}
 }
 
